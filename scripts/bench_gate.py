@@ -24,20 +24,21 @@ deterministic telemetry-counter snapshot of each, and enforces two gates:
   ratio-gated, runs under ``--quick``). The warm replay's median is also
   regression-gated against the committed ``BENCH_PR6.json`` in full mode.
 
-The search-layer speedup deliberately excludes the HiGHS LP solves: LP time
-dominates end-to-end runs, so gating the ratio there would measure the LP
-solver, not the incremental engine. The LP solver itself is gated
-separately (PR 9):
+The search-layer speedup deliberately excludes the ratio solves, so it
+measures the incremental engine alone. The ratio search and the LPs are
+gated separately:
 
-* **LP engine gate (PR 9)** — the warm-started LP engine
-  (:mod:`repro.lp.engine`) is held to deterministic ``lp.pivots`` ceilings
-  per backend on the E5 cancellation kernel (enforced in every mode,
-  including ``--quick`` — counters don't depend on hardware), and, when
-  highspy is installed, to end-to-end backend speedup floors: the same
-  E5/E10 kernels run under the warm highspy backend must beat their scipy
-  runs by >= 2x (ratio-gated, same machine/process). Without highspy the
-  backend ratios are reported as skipped and only the scipy pivot ceiling
-  applies.
+* **Work ceilings** — deterministic counter ceilings on the E5
+  cancellation kernel, enforced in every mode including ``--quick``
+  (counters don't depend on hardware): ``bellman_ford.rounds``, which
+  bounds the exact min-ratio cycle oracle
+  (:func:`repro.core.auxlp.solve_ratio_lp`), and the ``lp.pivots``
+  ceilings per LP backend. Each kernel's counter snapshot also carries
+  the oracle's ``ratio_oracle.steps`` (Newton steps).
+* **LP backend floor** — when highspy is installed, the E10 kernel run
+  under the warm highspy backend (:mod:`repro.lp.engine`) must beat its
+  scipy run by >= 2x (ratio-gated, same machine/process). Without
+  highspy the backend ratio is reported as skipped.
 
 Usage::
 
@@ -68,17 +69,15 @@ ONLINE_OUT = REPO_ROOT / "BENCH_PR6.json"
 SCHEMA = "bench-gate/1"
 ONLINE_SCHEMA = "bench-online/1"
 
-# Search-layer speedup floors (ISSUE acceptance criteria). The online
-# resolve floor is the PR 6 acceptance bar: warm re-solving a pinned
-# E10-scale churn trace must beat from-scratch solving by >= 2x. The
-# lp_backend floors are the PR 9 bar: the warm-started highspy backend
-# must beat the scipy fallback end-to-end on the E5/E10 kernels by >= 2x
-# (measured only when highspy is installed).
+# Search-layer speedup floors. The online resolve floor: warm re-solving a
+# pinned E10-scale churn trace must beat from-scratch solving by >= 2x.
+# The lp_backend floor: the warm-started highspy backend must beat the
+# scipy fallback end-to-end on the E10 kernel by >= 2x (measured only when
+# highspy is installed).
 SPEEDUP_FLOORS = {
     "e6_search_layer": 2.0,
     "e10_search_layer": 1.5,
     "e10_online_resolve": 2.0,
-    "e5_lp_backend": 2.0,
     "e10_lp_backend": 2.0,
 }
 
@@ -91,6 +90,13 @@ SPEEDUP_FLOORS = {
 # mode including --quick: counters are machine-independent.
 PIVOT_CEILINGS = {
     "e5_cancellation": {"scipy": 100_534, "highspy": 47_873},
+}
+# Deterministic Bellman-Ford round ceilings: the measured count plus ~5%.
+# The ratio search is an exact Bellman-Ford oracle and the E5 kernel's flow
+# LP barely pivots, so this is the ceiling that binds on the search's work
+# (rounds of the oracle's negative-cycle searches plus the residual probes).
+BF_ROUND_CEILINGS = {
+    "e5_cancellation": 3_268,
 }
 # Budget levels swept by the search-layer kernels — a pinned prefix of the
 # production finder's doubling schedule.
@@ -305,20 +311,17 @@ def measure_speedups(quick: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# LP backend speedup kernels (PR 9, ratio-gated, highspy only)
+# LP backend speedup kernel (ratio-gated, highspy only)
 # ---------------------------------------------------------------------------
 
 
 def measure_lp_backend_speedups() -> dict:
-    """End-to-end scipy-vs-highspy ratios on the E5/E10 kernels.
+    """End-to-end scipy-vs-highspy ratio on the E10 kernel.
 
-    Same machine, same process, same pinned instances — only the LP
+    Same machine, same process, same pinned instance — only the LP
     backend differs, so the ratio isolates exactly what the warm-started
     engine buys. Each backend gets one untimed warm-up run (imports,
-    workload construction); the highspy side's persistent models reset
-    between repeats anyway because every solver run owns a fresh AuxCache
-    token — warm starts pay off *within* a run (doubling schedule ×
-    cancellation iterations), which is the production shape.
+    workload construction).
 
     Returns ``{}`` when highspy is not installed (the gate prints the
     skip); the scipy fallback's health is still covered by the pivot
@@ -329,10 +332,7 @@ def measure_lp_backend_speedups() -> dict:
     if not highspy_available():
         return {}
     out = {}
-    for name, kernel in (
-        ("e5_lp_backend", kernel_e5_cancellation),
-        ("e10_lp_backend", kernel_e10_stress),
-    ):
+    for name, kernel in (("e10_lp_backend", kernel_e10_stress),):
         with force_backend("scipy"):
             kernel()
             t_scipy = _best_time(kernel, repeats=3)
@@ -509,7 +509,22 @@ def run_gate(args) -> int:
                     )
         print(line)
 
-    # -- LP engine gate (PR 9): deterministic pivot ceilings + backend ratios
+    # -- work ceilings: Bellman-Ford rounds (the ratio oracle) + LP pivots
+    for kname, ceiling in BF_ROUND_CEILINGS.items():
+        counters = report["kernels"][kname]["counters"]
+        rounds = counters.get("bellman_ford.rounds", 0)
+        steps = counters.get("ratio_oracle.steps", 0)
+        print(
+            f"{kname:18s} bellman_ford.rounds {rounds:7d} (ceiling {ceiling})"
+            f"  ratio_oracle.steps {steps}"
+        )
+        if rounds > ceiling:
+            failures.append(
+                f"{kname}: bellman_ford.rounds {rounds} exceeds the "
+                f"ceiling {ceiling}"
+            )
+    report["bf_round_ceilings"] = BF_ROUND_CEILINGS
+
     from repro.lp.engine import get_engine, highspy_available
 
     backend = get_engine().backend_name
@@ -539,9 +554,9 @@ def run_gate(args) -> int:
     report["speedups"].update(measure_lp_backend_speedups())
     if not highspy_available():
         print(
-            f"{'e5/e10_lp_backend':18s} skipped (highspy not installed — "
+            f"{'e10_lp_backend':18s} skipped (highspy not installed — "
             "scipy fallback active; install repro[perf] to gate the "
-            "backend ratios)"
+            "backend ratio)"
         )
     for name, entry in report["speedups"].items():
         print(f"{name:18s} speedup {entry['ratio']:6.2f}x (floor {entry['floor']}x)")

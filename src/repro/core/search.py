@@ -1,17 +1,18 @@
 """Bicameral-cycle search driver (Algorithm 3).
 
-Combines the cheap single-criterion probes with the layered-LP machinery:
+Combines the cheap single-criterion probes with the layered-graph machinery:
 
 1. **Fast probes** — Bellman–Ford negative-cycle detection on the residual
    graph under delay alone and under cost alone. Each hit is split into
    simple cycles and classified; a type-0 hit short-circuits everything
-   (no LP is ever built).
+   (no auxiliary graph is ever built).
 2. **Layered sweep** — for ``B`` doubling up to ``sum |c(e)|`` (the largest
    possible running-cost spread of any simple residual cycle), build the
-   shifted auxiliary graph and solve the min-ratio circulation LP for both
-   cost signs, accumulating candidates. The sweep stops early once a
-   type-0 candidate appears; otherwise all candidates are returned for
-   rate-based selection by the cancellation loop.
+   shifted auxiliary graph and find its exact minimum-ratio cycle for both
+   cost signs (:func:`~repro.core.auxlp.solve_ratio_lp`), accumulating
+   candidates. The sweep stops early once a type-0 candidate appears;
+   otherwise all candidates are returned for rate-based selection by the
+   cancellation loop.
 
 Correctness: every residual cycle has running-cost spread at most
 ``sum |c|``, so it is representable in the final sweep step; Theorem 16
@@ -139,14 +140,14 @@ def find_bicameral_cycle(
     :func:`~repro.core.auxgraph.build_aux_shifted`) swaps in a cached
     construction — :meth:`repro.perf.IncrementalSearch.aux_provider` —
     whose outputs are bit-identical to a fresh build, so the sweep's
-    control flow and every LP input are unchanged.
+    control flow and every oracle input are unchanged.
 
     Telemetry: runs under a ``search.bicameral`` span and flushes the
-    per-call work (probes, LP solves, aux-graph sizes, candidates found)
+    per-call work (probes, ratio solves, aux-graph sizes, candidates found)
     into ``search.*`` / ``bicameral.*`` counters on exit. Documented in
     detail on :func:`_find_bicameral_cycle_impl`. With a ``meter``, the
     sweep charges auxiliary-graph nodes against the budget's node cap and
-    checks the deadline between LP solves; a trip raises
+    checks the deadline between ratio solves; a trip raises
     :class:`~repro.errors.BudgetExhaustedError` (counters still flush).
     """
     stats = stats if stats is not None else SearchStats()
@@ -356,7 +357,7 @@ def find_bicameral_candidates(
         Optional instrumentation sink.
     meter:
         Optional armed budget; the sweep charges auxiliary-graph nodes
-        and checks the deadline between LP solves (a trip raises
+        and checks the deadline between ratio solves (a trip raises
         :class:`~repro.errors.BudgetExhaustedError`).
 
     Returns a deduplicated candidate list; possibly empty (no bicameral

@@ -1,28 +1,21 @@
-"""Pluggable LP engine: warm-started persistent HiGHS models with a
-bit-compatible scipy fallback.
+"""Pluggable LP engine: a warm-started highspy backend for the flow LP,
+with a bit-compatible scipy fallback.
 
-``BENCH_PR4.json`` showed the ratio LP dominating the solver (95,746
-simplex pivots over 60 ``solve_ratio_lp`` calls on the E5 kernel), even
-though successive solves differ by only a few rows/columns: the doubling
-schedule revisits the same radii ``B`` every cancellation iteration, and a
-cancelled cycle flips ``O(cycle length)`` residual edges. This module
-routes every LP in the pipeline through one :class:`LPEngine` with two
-backends:
+Every LP in the pipeline — the phase-1 flow LP and the paper's LP (6) —
+goes through one :class:`LPEngine` with two backends:
 
 * **scipy** — the exact ``scipy.optimize.linprog`` calls the call sites
   made before the engine existed, assembled from the same arrays in the
   same order, so the fallback is *bit-compatible* with the pre-engine
   solver (the differential/chaos suites rely on this determinism).
-* **highspy** — a persistent ``highspy.Highs`` model per warm family
-  ``(aux-cache token, B, cost_sign)`` (ratio LPs) or per flow-LP
-  structure signature. Between successive solves the engine applies only
-  the *value deltas* — objective coefficients and the four incidence
-  entries of each flipped edge's layer copies, derived from the same
-  parity-folded flip log that :class:`repro.perf.auxcache.AuxCache`
-  uses to patch aux graphs in place — and HiGHS re-solves from the
-  previous optimal basis. Model dimensions never change within a family
-  (the layer-window layout is flip-invariant), which is what keeps the
-  basis valid.
+* **highspy** — a persistent ``highspy.Highs`` model per flow-LP structure
+  signature. Between successive solves the engine applies only the
+  *value deltas* (objective costs, the delay row, the budget bound) and
+  HiGHS re-solves from the previous optimal basis. LP (6) always solves
+  cold: every paper-literal solve has its own anchored graph.
+
+The min-ratio cycle search solves no LP; see
+:func:`repro.core.auxlp.solve_ratio_lp`.
 
 Backend selection is automatic: ``highspy`` when importable, else
 ``scipy`` (install with the ``perf`` extra: ``pip install repro[perf]``).
@@ -47,7 +40,6 @@ backend reported no iteration count — never silently counted as zero).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -61,26 +53,8 @@ from repro.errors import SolverError
 #: Environment variable forcing the backend: ``scipy``, ``highspy``, ``auto``.
 BACKEND_ENV = "REPRO_LP_BACKEND"
 
-#: Cap on persistent warm-start models kept per engine (LRU-evicted). Each
-#: ratio-LP model holds one HiGHS instance plus O(aux edges) bookkeeping.
+#: Cap on persistent warm-start models kept per engine (LRU-evicted).
 MAX_MODELS = 24
-
-#: Cap on cached conservation-incidence matrices (shared by the +1/-1 sign
-#: solves of one sweep level and across iterations at a fixed radius).
-MAX_ASSEMBLY_CACHE = 4
-
-_token_counter = itertools.count(1)
-
-
-def next_family_token() -> int:
-    """Process-unique token naming one warm family owner (an AuxCache).
-
-    Tokens are never reused within a process; unpickled caches take a
-    fresh token (see ``AuxCache.__setstate__``) so a model warmed by one
-    cache can never be replayed against another cache's deltas.
-    """
-    return next(_token_counter)
-
 
 _highspy_mod = None
 
@@ -177,7 +151,7 @@ def _scipy_result(res) -> LPResult:
 
 
 # ---------------------------------------------------------------------------
-# problem assembly (shared by both backends; vectorized, no per-edge loops)
+# problem assembly
 # ---------------------------------------------------------------------------
 
 
@@ -187,73 +161,6 @@ def _graph_digest(tail: np.ndarray, head: np.ndarray) -> str:
     h.update(np.ascontiguousarray(tail, dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(head, dtype=np.int64).tobytes())
     return h.hexdigest()
-
-
-@dataclass
-class _AssemblyEntry:
-    graph: object  # identity anchor: the DiGraph the matrix was built from
-    version: int | None
-    A: sp.csr_matrix
-
-
-class _AssemblyCache:
-    """Tiny LRU of conservation-incidence matrices keyed by graph identity.
-
-    The +1 and -1 sign solves of one sweep level share the conservation
-    block, as do successive solves at the same radius when the residual
-    is unchanged. Holding a strong reference to the source graph makes
-    the identity check sound (the id cannot be recycled while the entry
-    lives); a version mismatch — the aux cache patches graphs in place —
-    forces a rebuild.
-    """
-
-    def __init__(self, cap: int = MAX_ASSEMBLY_CACHE) -> None:
-        self._cap = cap
-        self._entries: list[_AssemblyEntry] = []
-
-    def get(self, graph, version: int | None, build) -> sp.csr_matrix:
-        for i, e in enumerate(self._entries):
-            if e.graph is graph and e.version == version:
-                self._entries.append(self._entries.pop(i))
-                obs.inc("lp.assembly.reuse")
-                return e.A
-        A = build()
-        self._entries = [e for e in self._entries if e.graph is not graph]
-        self._entries.append(_AssemblyEntry(graph=graph, version=version, A=A))
-        if len(self._entries) > self._cap:
-            self._entries.pop(0)
-        return A
-
-
-def ratio_lp_arrays(aux, cost_sign: int, cons: sp.csr_matrix):
-    """Assemble the normalized min-ratio circulation LP over ``aux``.
-
-    Returns ``(c, A_eq, b_eq, bounds)`` exactly as the pre-engine
-    ``solve_ratio_lp`` built them (same dtypes, same stacking order), so
-    the scipy backend stays bit-compatible. Fully vectorized — the norm
-    row and bound vectors are one masked scatter each.
-    """
-    from repro.core.auxlp import MASS_CAP  # late: avoid an import cycle
-
-    h = aux.graph
-    wraps = aux.wrap_cost
-    chosen = (wraps * cost_sign) > 0
-    other = (wraps * cost_sign) < 0
-    idx = np.nonzero(chosen)[0]
-    norm_row = sp.csr_matrix(
-        (
-            np.abs(wraps[idx]).astype(np.float64),
-            (np.zeros(len(idx), dtype=np.int64), idx),
-        ),
-        shape=(1, h.m),
-    )
-    A_eq = sp.vstack([cons, norm_row], format="csr")
-    b_eq = np.zeros(h.n + 1)
-    b_eq[-1] = 1.0
-    ub = np.full(h.m, MASS_CAP)
-    ub[other] = 0.0
-    bounds = np.stack([np.zeros(h.m), ub], axis=1)
-    return h.delay.astype(np.float64), A_eq, b_eq, bounds
 
 
 # ---------------------------------------------------------------------------
@@ -317,79 +224,6 @@ def _pass_model(h, hs, c, A_csc: sp.csc_matrix, col_lb, col_ub, row_lb, row_ub):
     lp.a_matrix_.index_ = A_csc.indices.astype(np.int32)
     lp.a_matrix_.value_ = A_csc.data.astype(np.float64)
     h.passModel(lp)
-
-
-class _RatioModel:
-    """One persistent HiGHS model for a ``(cache token, B, sign)`` family.
-
-    ``tail``/``head`` snapshot the layer columns' incidence endpoints at
-    the synced ``version`` — the warm path zeroes the old entries and
-    writes the new ones for exactly the flipped edges' layer copies, then
-    re-solves from the standing basis.
-    """
-
-    def __init__(self, hs) -> None:
-        self._hs = hs
-        self.h = _new_highs(hs)
-        self.version: int = -1
-        self.n_cols = self.n_rows = 0
-        self.n_layer = 0
-        self.tail: np.ndarray | None = None
-        self.head: np.ndarray | None = None
-
-    def build(self, aux, cost_sign: int, cons: sp.csr_matrix, version: int) -> None:
-        c, A_eq, b_eq, bounds = ratio_lp_arrays(aux, cost_sign, cons)
-        self.h = _new_highs(self._hs)  # fresh object: drop any stale basis
-        _pass_model(
-            self.h,
-            self._hs,
-            c,
-            A_eq.tocsc(),
-            bounds[:, 0],
-            bounds[:, 1],
-            b_eq,
-            b_eq,
-        )
-        self.n_rows, self.n_cols = A_eq.shape
-        self.n_layer = int((aux.orig_eid >= 0).sum())
-        self.tail = aux.graph.tail[: self.n_layer].copy()
-        self.head = aux.graph.head[: self.n_layer].copy()
-        self.version = version
-
-    def apply_delta(self, aux, cols: np.ndarray) -> None:
-        """Rewrite the dirty layer columns' objective + incidence entries.
-
-        Old entries are zeroed before new ones are written so an endpoint
-        that moves onto a row the column already touched is overwritten,
-        not double-counted; a (degenerate) self-loop column nets to the
-        same stored-zero entry the CSC build produced.
-        """
-        h = self.h
-        g = aux.graph
-        assert self.tail is not None and self.head is not None
-        new_cost = g.delay[cols].astype(np.float64)
-        for c_i, v in zip(cols.tolist(), new_cost.tolist()):
-            h.changeColCost(c_i, v)
-        old_t = self.tail[cols]
-        old_h = self.head[cols]
-        new_t = g.tail[cols]
-        new_h = g.head[cols]
-        for c_i, ot, oh, nt, nh in zip(
-            cols.tolist(),
-            old_t.tolist(),
-            old_h.tolist(),
-            new_t.tolist(),
-            new_h.tolist(),
-        ):
-            h.changeCoeff(ot, c_i, 0.0)
-            h.changeCoeff(oh, c_i, 0.0)
-            if nt == nh:
-                h.changeCoeff(nt, c_i, 0.0)
-            else:
-                h.changeCoeff(nt, c_i, 1.0)
-                h.changeCoeff(nh, c_i, -1.0)
-        self.tail[cols] = new_t
-        self.head[cols] = new_h
 
 
 class _FlowModel:
@@ -481,18 +315,16 @@ class LPEngine:
     """Warm-started LP solving for every LP family in the pipeline.
 
     One engine lives per process (see :func:`get_engine`); its model
-    store is what lets warm bases survive the doubling schedule, the
-    cancellation loop, and online ``resolve`` sessions — all of which
-    funnel through the same call sites. The engine is deliberately
-    **unpicklable state-free**: pickling (spawn-context worker pools)
-    keeps only the backend choice, so HiGHS handles never cross a
-    process boundary (see ``tests/test_lp_engine.py``).
+    store is what lets warm flow-LP bases survive online ``resolve``
+    sessions, which funnel through the same call sites. The engine is
+    deliberately **unpicklable state-free**: pickling (spawn-context
+    worker pools) keeps only the backend choice, so HiGHS handles never
+    cross a process boundary (see ``tests/test_lp_engine.py``).
     """
 
     def __init__(self, backend: str | None = None) -> None:
         self._backend = backend or default_backend_name()
         self._store = _ModelStore()
-        self._assembly = _AssemblyCache()
 
     @property
     def backend_name(self) -> str:
@@ -500,9 +332,8 @@ class LPEngine:
         return self._backend
 
     def reset(self) -> None:
-        """Drop every persistent model and cached assembly (tests)."""
+        """Drop every persistent model (tests)."""
         self._store = _ModelStore()
-        self._assembly = _AssemblyCache()
 
     # -- spawn safety -------------------------------------------------------
 
@@ -520,117 +351,11 @@ class LPEngine:
         obs.inc(f"lp.backend.{res.backend}.solves")
         count_pivots(res)
 
-    def _conservation(self, graph, version: int | None) -> sp.csr_matrix:
+    @staticmethod
+    def _conservation(graph) -> sp.csr_matrix:
         from repro.lp.flow_lp import incidence_matrix  # late: import cycle
 
-        if version is None:
-            # No version to invalidate on — and DiGraph arrays mutate in
-            # place under a stable object identity (flips, churn), so an
-            # identity-keyed entry could go silently stale. Build fresh,
-            # exactly as the pre-engine call sites did.
-            return incidence_matrix(graph)
-        return self._assembly.get(
-            graph, version, lambda: incidence_matrix(graph)
-        )
-
-    # -- ratio LP -----------------------------------------------------------
-
-    def solve_ratio(
-        self, aux, cost_sign: int, options: dict | None = None
-    ) -> LPResult:
-        """Min-ratio circulation LP over ``aux`` for one wrap sign.
-
-        Warm path: when ``aux`` carries a warm handle (served by
-        :class:`repro.perf.auxcache.AuxCache`) and the highspy backend is
-        active, the persistent model of its ``(token, B, sign)`` family
-        is value-patched over the flips it missed and re-solved from the
-        standing basis.
-        """
-        warm = getattr(aux, "warm", None)
-        version = warm.version() if warm is not None else None
-        with obs.span("lp.ratio_lp"):
-            if self._backend == "highspy":
-                res = self._solve_ratio_highspy(aux, cost_sign, options, warm)
-            else:
-                cons = self._conservation(aux.graph, version)
-                c, A_eq, b_eq, bounds = ratio_lp_arrays(aux, cost_sign, cons)
-                res = _scipy_result(
-                    scipy.optimize.linprog(
-                        c=c,
-                        A_eq=A_eq,
-                        b_eq=b_eq,
-                        bounds=bounds,
-                        method="highs",
-                        options=options or {},
-                    )
-                )
-        self._count_solve(res)
-        return res
-
-    def _solve_ratio_highspy(
-        self, aux, cost_sign: int, options: dict | None, warm
-    ) -> LPResult:
-        hs = _highspy_mod
-        key = ("ratio", warm.token(), aux.B, cost_sign) if warm is not None else None
-        model = self._store.get(key) if key is not None else None
-        warm_used = False
-        if model is not None:
-            try:
-                warm_used = self._try_ratio_delta(model, aux, warm)
-            except Exception:  # noqa: BLE001 — degrade to a cold rebuild
-                obs.inc("lp.warm_start.error")
-                model = None
-        if model is None or not warm_used:
-            model = _RatioModel(hs)
-            version = warm.version() if warm is not None else -1
-            cons = self._conservation(
-                aux.graph, version if warm is not None else None
-            )
-            model.build(aux, cost_sign, cons, version)
-            if key is not None:
-                self._store.put(key, model)
-        obs.inc("lp.warm_start.hit" if warm_used else "lp.warm_start.miss")
-        status, success, x, fun, nit, duals = _run_highs(model.h, hs, options)
-        if warm is not None:
-            model.version = warm.version()
-        return LPResult(
-            status=status,
-            success=success,
-            x=x,
-            fun=fun,
-            nit=nit,
-            message=f"highspy model status {status}",
-            backend="highspy",
-            warm=warm_used,
-        )
-
-    def _try_ratio_delta(self, model: _RatioModel, aux, warm) -> bool:
-        """Patch ``model`` up to the aux graph's version; False → rebuild."""
-        if warm is None:
-            return False
-        if model.n_cols != aux.graph.m or model.n_rows != aux.graph.n + 1:
-            return False
-        layout = warm.layout()
-        if layout is None:
-            return False
-        counts, seg_starts = layout
-        version = warm.version()
-        if model.version == version:
-            return True
-        dirty = warm.dirty_since(model.version)
-        if dirty is None:
-            return False
-        active = dirty[counts[dirty] > 0]
-        if len(active):
-            cnt = counts[active]
-            starts = np.repeat(seg_starts[active], cnt)
-            offs = np.arange(int(cnt.sum()), dtype=np.int64) - np.repeat(
-                np.concatenate([[0], np.cumsum(cnt[:-1])]), cnt
-            )
-            cols = starts + offs
-            model.apply_delta(aux, cols)
-        model.version = version
-        return True
+        return incidence_matrix(graph)
 
     # -- flow LP ------------------------------------------------------------
 
@@ -648,7 +373,7 @@ class LPEngine:
             if self._backend == "highspy":
                 res = self._solve_flow_highspy(g, s, t, k, delay_bound, options)
             else:
-                A_eq = self._conservation(g, None)
+                A_eq = self._conservation(g)
                 b_eq = np.zeros(g.n)
                 b_eq[s] += k
                 b_eq[t] -= k
@@ -719,7 +444,7 @@ class LPEngine:
                 hs = _highspy_mod
                 A = sp.vstack(
                     [
-                        self._conservation(h, None),
+                        self._conservation(h),
                         sp.csr_matrix(h.delay.astype(np.float64)[None, :]),
                     ],
                     format="csc",
@@ -757,7 +482,7 @@ class LPEngine:
                         c=h.cost.astype(np.float64),
                         A_ub=sp.csr_matrix(h.delay.astype(np.float64)[None, :]),
                         b_ub=np.array([float(delta_d)]),
-                        A_eq=self._conservation(h, None),
+                        A_eq=self._conservation(h),
                         b_eq=np.zeros(h.n),
                         bounds=(0.0, MASS_CAP),
                         method="highs",

@@ -148,9 +148,9 @@ def validate_trace(trace: Trace) -> list[str]:
        ``search.anchors.probes == search.anchors.dirty +
        search.anchors.skipped`` (every anchor is classified exactly once);
     7. LP-engine accounting: ``lp.pivots_unreported`` cannot exceed the
-       total LP solve count (``lp.flow_lp.solves + lp.ratio_lp.solves +
-       lp.lp6.solves``) — each solve reports its pivots at most once, to
-       exactly one of the two pivot counters — and the per-backend totals
+       total LP solve count (``lp.flow_lp.solves + lp.lp6.solves``) —
+       each solve reports its pivots at most once, to exactly one of the
+       two pivot counters — and the per-backend totals
        balance: ``lp.warm_start.hit + lp.warm_start.miss ==
        lp.backend.highspy.solves`` (warm accounting exists only on the
        highspy path, one hit-or-miss per solve).
@@ -250,7 +250,6 @@ def validate_trace(trace: Trace) -> list[str]:
             )
     lp_solves = (
         c.get("lp.flow_lp.solves", 0)
-        + c.get("lp.ratio_lp.solves", 0)
         + c.get("lp.lp6.solves", 0)
     )
     if c.get("lp.pivots_unreported", 0) > lp_solves:

@@ -2,8 +2,8 @@
 
 A *span* is one timed region of solver work. Spans nest: a thread-local
 stack links each span to its enclosing one, so a trace reconstructs the
-call-tree shape of a run (phase-1 LP inside the solve, ratio-LP solves
-inside the bicameral sweep, ...). Usable both ways::
+call-tree shape of a run (phase-1 LP inside the solve, ratio-oracle
+solves inside the bicameral sweep, ...). Usable both ways::
 
     with span("krsp.phase1"):
         ...

@@ -91,8 +91,14 @@ class TestAntiTrapRule:
 
 class TestFailureInjection:
     def test_lp_failure_surfaces_as_solver_error(self, monkeypatch):
-        """A misbehaving LP backend must raise SolverError, not corrupt."""
+        """A misbehaving LP backend must raise SolverError, not corrupt —
+        at each LP call site that remains (the flow LP and LP (6)). The
+        ratio search solves no LP, so it is unaffected by the failure."""
         import scipy.optimize
+
+        from repro.core.auxgraph import build_aux_paper, build_aux_shifted
+        from repro.core.auxlp import solve_lp6, solve_ratio_lp
+        from repro.lp.flow_lp import solve_flow_lp
 
         g, ids = trap_graph()
         res = build_residual(g, [0, 1])
@@ -106,12 +112,12 @@ class TestFailureInjection:
             return FakeResult()
 
         monkeypatch.setattr(scipy.optimize, "linprog", boom)
-        from repro.core.auxgraph import build_aux_shifted
-        from repro.core.auxlp import solve_ratio_lp
-
-        aux = build_aux_shifted(res.graph, 8)
         with pytest.raises(SolverError, match="injected"):
-            solve_ratio_lp(aux, +1)
+            solve_lp6(build_aux_paper(res.graph, ids["s"], 8, +1), -1)
+        with pytest.raises(SolverError, match="injected"):
+            solve_flow_lp(g, ids["s"], ids["t"], 1, 100)
+        x = solve_ratio_lp(build_aux_shifted(res.graph, 8), +1)
+        assert x is not None and set(np.unique(x)) == {0.0, 1.0}
 
     def test_milp_failure_surfaces_as_solver_error(self, monkeypatch):
         import scipy.optimize

@@ -1,5 +1,7 @@
 """LP engine contract tests (:mod:`repro.lp.engine`).
 
+The engine serves the flow LP and LP (6); the min-ratio cycle search
+solves no LP (its reference LP lives in ``tests/test_ratio_oracle.py``).
 Three layers of guarantees:
 
 1. **scipy bit-compatibility** — the engine's scipy path must return the
@@ -12,8 +14,8 @@ Three layers of guarantees:
    cross-checks accept real traces and reject cooked ones.
 3. **Backend parity & process safety** — with highspy installed, both
    backends' answers verify against the same certificates (hypothesis
-   property), warm starts hit, and engine/cache state never leaks across
-   pickling boundaries (spawn-context worker pools).
+   property), and engine state never leaks across pickling boundaries
+   (spawn-context worker pools).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.core import solve_krsp
 from repro.core.auxgraph import build_aux_shifted
-from repro.core.auxlp import MASS_CAP, solve_lp6, solve_ratio_lp
+from repro.core.auxlp import MASS_CAP, solve_lp6
 from repro.core.residual import build_residual
 from repro.core.verify import verify_solution
 from repro.graph import anticorrelated_weights, gnp_digraph
@@ -43,7 +45,6 @@ from repro.lp.engine import (
     reset_engine,
 )
 from repro.lp.flow_lp import incidence_matrix, solve_flow_lp
-from repro.perf.auxcache import AuxCache
 
 
 @pytest.fixture(autouse=True)
@@ -59,56 +60,8 @@ def _residual(seed: int, n: int = 9, p: float = 0.45):
     return build_residual(g, flow_edges)
 
 
-def _legacy_ratio_linprog(aux, cost_sign: int):
-    """The exact pre-engine ``solve_ratio_lp`` assembly, inline."""
-    h = aux.graph
-    wraps = aux.wrap_cost
-    chosen = (wraps * cost_sign) > 0
-    other = (wraps * cost_sign) < 0
-    if not chosen.any():
-        return None
-    idx = np.nonzero(chosen)[0]
-    norm_row = sp.csr_matrix(
-        (
-            np.abs(wraps[idx]).astype(np.float64),
-            (np.zeros(len(idx), dtype=np.int64), idx),
-        ),
-        shape=(1, h.m),
-    )
-    A_eq = sp.vstack([incidence_matrix(h), norm_row], format="csr")
-    b_eq = np.zeros(h.n + 1)
-    b_eq[-1] = 1.0
-    ub = np.full(h.m, MASS_CAP)
-    ub[other] = 0.0
-    return scipy.optimize.linprog(
-        c=h.delay.astype(np.float64),
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=np.stack([np.zeros(h.m), ub], axis=1),
-        method="highs",
-        options={},
-    )
-
-
 class TestScipyBitCompat:
     """The scipy path must be byte-equal to the pre-engine inline calls."""
-
-    def test_ratio_lp_bit_identical_to_legacy_assembly(self):
-        hits = 0
-        for seed in range(12):
-            res = _residual(seed)
-            aux = build_aux_shifted(res.graph, 5)
-            for sign in (+1, -1):
-                legacy = _legacy_ratio_linprog(aux, sign)
-                with force_backend("scipy"):
-                    x = solve_ratio_lp(aux, sign)
-                if legacy is None or legacy.status == 2:
-                    assert x is None
-                    continue
-                hits += 1
-                assert x is not None
-                assert np.array_equal(x, np.maximum(legacy.x, 0.0))
-        assert hits >= 3  # the corpus must actually exercise the solver
 
     def test_flow_lp_bit_identical_to_legacy_assembly(self):
         for seed in range(10):
@@ -156,27 +109,6 @@ class TestScipyBitCompat:
             assert x is None
         else:
             assert np.array_equal(x, np.maximum(legacy.x, 0.0))
-
-    def test_warm_served_aux_is_still_bit_compatible(self):
-        # Aux graphs served by the cache carry a warm handle; on the scipy
-        # backend the handle must change nothing about the answer.
-        res = _residual(2)
-        cache = AuxCache(res)
-        with force_backend("scipy"):
-            for _ in range(3):
-                aux_cached = cache.get(3)
-                assert aux_cached.warm is not None
-                aux_fresh = build_aux_shifted(res.graph, 3)
-                assert aux_fresh.warm is None
-                for sign in (+1, -1):
-                    a = solve_ratio_lp(aux_cached, sign)
-                    b = solve_ratio_lp(aux_fresh, sign)
-                    if a is None:
-                        assert b is None
-                    else:
-                        assert np.array_equal(a, b)
-                flips = res.apply_flip([0, 1])
-                cache.note_flips(flips)
 
 
 class TestAccounting:
@@ -307,17 +239,6 @@ class TestProcessSafety:
         assert clone.backend_name == engine.backend_name
         assert not clone._store.models  # no HiGHS handle crosses a pickle
 
-    def test_auxcache_token_rotates_on_unpickle(self):
-        res = _residual(5)
-        cache = AuxCache(res)
-        cache.get(2)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.token != cache.token
-        # The clone still serves correct graphs under its new identity.
-        aux = clone.get(2)
-        assert aux.warm is not None
-        assert aux.warm.token() == clone.token
-
     def test_incremental_search_exposes_global_engine(self):
         from repro.perf import IncrementalSearch
 
@@ -345,35 +266,8 @@ class TestOnlineResolveLiveness:
         assert snap.get(f"lp.backend.{backend}.solves", 0) >= 1
 
 
-class TestWarmHandles:
-    def test_cached_aux_carries_handle_with_deltas(self):
-        res = _residual(1)
-        cache = AuxCache(res)
-        aux = cache.get(2)
-        handle = aux.warm
-        assert handle is not None
-        assert handle.layout() is not None
-        v0 = handle.version()
-        flips = res.apply_flip([0, 2])
-        cache.note_flips(flips)
-        cache.get(2)  # delta-refresh to current version
-        dirty = handle.dirty_since(v0)
-        assert dirty is not None
-        assert set(dirty.tolist()) == set(flips.tolist())
-
-    def test_dirty_since_gap_returns_none(self):
-        res = _residual(1)
-        cache = AuxCache(res)
-        aux = cache.get(2)
-        handle = aux.warm
-        v0 = handle.version()
-        res.apply_flip([0])  # version bump the cache never hears about
-        assert handle.dirty_since(v0) is None
-        assert handle.dirty_since(-1) is None
-
-
 # ---------------------------------------------------------------------------
-# highspy-only: warm starts + backend parity
+# highspy-only: backend parity
 # ---------------------------------------------------------------------------
 
 needs_highspy = pytest.mark.skipif(
@@ -382,75 +276,7 @@ needs_highspy = pytest.mark.skipif(
 
 
 @needs_highspy
-class TestHighspyWarmStarts:
-    def test_warm_hits_across_flips(self):
-        res = _residual(0)
-        cache = AuxCache(res)
-        with obs.session(), force_backend("highspy"):
-            for _ in range(4):
-                aux = cache.get(3)
-                for sign in (+1, -1):
-                    solve_ratio_lp(aux, sign)
-                flips = res.apply_flip([0, 1])
-                cache.note_flips(flips)
-            snap = obs.snapshot()
-        assert snap.get("lp.warm_start.hit", 0) >= 4
-        assert snap.get("lp.warm_start.hit", 0) + snap.get(
-            "lp.warm_start.miss", 0
-        ) == snap.get("lp.backend.highspy.solves", 0)
-
-    def test_warm_answers_match_cold_objective(self):
-        res = _residual(0)
-        cache = AuxCache(res)
-        with force_backend("highspy"):
-            for step in range(4):
-                aux = cache.get(3)
-                for sign in (+1, -1):
-                    warm_x = solve_ratio_lp(aux, sign)
-                    with force_backend("highspy"):
-                        cold_x = solve_ratio_lp(
-                            build_aux_shifted(res.graph, 3), sign
-                        )
-                    if warm_x is None:
-                        assert cold_x is None
-                        continue
-                    h = aux.graph
-                    assert np.dot(h.delay, warm_x) == pytest.approx(
-                        np.dot(h.delay, cold_x), abs=1e-6
-                    )
-                flips = res.apply_flip([step % res.m])
-                cache.note_flips(flips)
-
-
-@needs_highspy
 class TestBackendParity:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        n=st.integers(6, 11),
-        sign=st.sampled_from([+1, -1]),
-    )
-    def test_ratio_lp_objectives_agree(self, seed, n, sign):
-        res = _residual(seed, n=n)
-        aux = build_aux_shifted(res.graph, 2)
-        with force_backend("scipy"):
-            xs = solve_ratio_lp(aux, sign)
-        with force_backend("highspy"):
-            xh = solve_ratio_lp(aux, sign)
-        if xs is None or xh is None:
-            # Feasibility classification must agree even when optima vary.
-            assert xs is None and xh is None
-            return
-        h = aux.graph
-        assert np.dot(h.delay, xs) == pytest.approx(
-            np.dot(h.delay, xh), rel=1e-6, abs=1e-6
-        )
-        # Both points satisfy conservation + normalization.
-        A = incidence_matrix(h)
-        for x in (xs, xh):
-            assert np.max(np.abs(A @ x)) < 1e-6
-            assert np.dot(np.abs(aux.wrap_cost), x) == pytest.approx(1.0, abs=1e-6)
-
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_full_solver_certificates_verify_on_both_backends(self, seed):

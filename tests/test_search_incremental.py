@@ -306,6 +306,47 @@ class TestAuxCache:
         assert snap["search.aux_cache.miss"] == 1
         _assert_aux_equal(cache.get(2), build_aux_shifted(res.graph, 2))
 
+    def test_flip_log_parity_folds_flips(self):
+        rng = np.random.default_rng(1)
+        res = _random_residual(rng)
+        cache = AuxCache(res)
+        cache.get(2)
+        v0 = res.version
+        cache.note_flips(res.apply_flip([0, 2]))
+        cache.note_flips(res.apply_flip([2]))
+        # Edge 2 flipped twice: back where it was, so only edge 0 is dirty.
+        assert cache._parity_since(v0).tolist() == [0]
+        _assert_aux_equal(cache.get(2), build_aux_shifted(res.graph, 2))
+
+    def test_flip_log_gap_forces_rebuild(self):
+        rng = np.random.default_rng(1)
+        res = _random_residual(rng)
+        cache = AuxCache(res)
+        cache.get(2)
+        v0 = res.version
+        res.apply_flip([0])  # a version bump the cache never hears about
+        assert cache._parity_since(v0) is None
+        with obs.session():
+            aux = cache.get(2)
+            snap = obs.snapshot()
+        assert snap.get("search.aux_cache.miss") == 1
+        assert "search.aux_cache.delta_refresh" not in snap
+        _assert_aux_equal(aux, build_aux_shifted(res.graph, 2))
+
+    def test_pickled_cache_serves_fresh_builds(self):
+        import pickle
+
+        rng = np.random.default_rng(5)
+        res = _random_residual(rng)
+        cache = AuxCache(res)
+        cache.get(2)
+        clone = pickle.loads(pickle.dumps(cache))
+        clone_res = clone._res
+        clone.note_flips(clone_res.apply_flip([0]))
+        _assert_aux_equal(clone.get(2), build_aux_shifted(clone_res.graph, 2))
+        # The original is untouched by the clone's flip.
+        _assert_aux_equal(cache.get(2), build_aux_shifted(res.graph, 2))
+
 
 class TestIncrementalSearchEngine:
     def test_residual_for_tracks_solution_changes(self):
